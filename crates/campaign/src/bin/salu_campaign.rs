@@ -13,7 +13,7 @@
 //! regression. Exit 2 means bad usage or unreadable input.
 
 use campaign::{
-    compare, compare_markdown, run_campaign, run_markdown, schedule_gate, CampaignSpec, Snapshot,
+    compare, compare_markdown, run_campaign, run_markdown, CampaignSpec, Comparison, Snapshot,
     Tolerance,
 };
 use std::path::PathBuf;
@@ -24,7 +24,6 @@ fn usage() -> ! {
         "usage:\n\
          \x20 salu-campaign run SPEC.toml [--out-dir DIR] [--baseline FILE] [--jobs N]\n\
          \x20 salu-campaign compare NEW.json BASELINE.json [--tol-wall X] [--tol-sim X] [--gate-wall]\n\
-         \x20 salu-campaign schedule-gate SNAPSHOT.json\n\
          \n\
          run      expand the sweep spec, execute every job (best-of-N wall,\n\
          \x20        per-job artifact dirs), write BENCH_<pr>.json and report.md\n\
@@ -35,11 +34,6 @@ fn usage() -> ! {
          \x20        print the regression report. --tol-* override the default\n\
          \x20        bands (wall 0.5, sim 0.02); --gate-wall makes wall\n\
          \x20        regressions fail the gate too.\n\
-         schedule-gate\n\
-         \x20        pair every schedule=taskgraph point with its level twin\n\
-         \x20        and fail (exit 1) if any taskgraph makespan exceeds its\n\
-         \x20        level makespan, if a taskgraph point is unpaired, or if\n\
-         \x20        the snapshot has no pairs at all.\n\
          \n\
          See docs/campaign.md."
     );
@@ -51,7 +45,6 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
-        Some("schedule-gate") => cmd_schedule_gate(&args[1..]),
         _ => usage(),
     }
 }
@@ -157,14 +150,7 @@ fn cmd_run(args: &[String]) -> ! {
     let cmp = compare(&outcome.snapshot, &baseline, spec.tolerance);
     write_file(&out_dir.join("regression.md"), &compare_markdown(&cmp));
     write_file(&out_dir.join("regression.json"), &cmp.to_json().pretty());
-    let (imp, unch, reg, inc) = cmp.tallies();
-    println!(
-        "vs {baseline_path}: {} matched points ({imp} improved, {unch} unchanged, \
-         {reg} regressed, {inc} incomparable); {} missing, {} new",
-        cmp.matched.len(),
-        cmp.missing.len(),
-        cmp.extra.len()
-    );
+    println!("vs {baseline_path}: {}", coverage_line(&cmp));
     if cmp.regressed() {
         eprintln!(
             "regression gate FAILED — see {}",
@@ -203,41 +189,20 @@ fn cmd_compare(args: &[String]) -> ! {
     };
     let cmp = compare(&load(new_path), &load(base_path), tol);
     print!("{}", compare_markdown(&cmp));
+    println!("{new_path} vs {base_path}: {}", coverage_line(&cmp));
     exit(if cmp.regressed() { 1 } else { 0 })
 }
 
-fn cmd_schedule_gate(args: &[String]) -> ! {
-    let [path] = args else { usage() };
-    let snap = Snapshot::load(path).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        exit(2)
-    });
-    let gate = schedule_gate(&snap);
-    for (key, level, tg) in &gate.pairs {
-        println!(
-            "  {key}: level {level:.9e}  taskgraph {tg:.9e}  ({:+.4}%)",
-            (tg - level) / level * 100.0
-        );
-    }
-    for v in &gate.violations {
-        eprintln!("  VIOLATION: {v}");
-    }
-    if gate.pairs.is_empty() && gate.ok() {
-        eprintln!("schedule gate FAILED — {path} has no level/taskgraph pairs");
-        exit(1);
-    }
-    if !gate.ok() {
-        eprintln!(
-            "schedule gate FAILED — {} violation(s)",
-            gate.violations.len()
-        );
-        exit(1);
-    }
-    println!(
-        "schedule gate clean: taskgraph <= level on all {} pair(s)",
-        gate.pairs.len()
-    );
-    exit(0)
+/// One-line verdict tally and coverage diff, grep-able by CI.
+fn coverage_line(cmp: &Comparison) -> String {
+    let (imp, unch, reg, inc) = cmp.tallies();
+    format!(
+        "{} matched points ({imp} improved, {unch} unchanged, {reg} regressed, \
+         {inc} incomparable); {} missing, {} new",
+        cmp.matched.len(),
+        cmp.missing.len(),
+        cmp.extra.len()
+    )
 }
 
 fn value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {

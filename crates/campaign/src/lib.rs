@@ -30,10 +30,7 @@ pub mod snapshot;
 pub mod spec;
 pub mod toml;
 
-pub use compare::{
-    compare, schedule_gate, Comparison, MetricVerdict, PointComparison, ScheduleGate, Tolerance,
-    Verdict,
-};
+pub use compare::{compare, Comparison, MetricVerdict, PointComparison, Tolerance, Verdict};
 pub use report::{compare_markdown, run_markdown};
 pub use runner::{run_campaign, CampaignOutcome};
 pub use snapshot::{BenchPoint, PointKey, Snapshot, DEFAULT_LOOKAHEAD, METRICS};

@@ -38,29 +38,12 @@ pub struct PointKey {
     /// predate the backend column; matched as equal to `threaded`, so
     /// every historical snapshot keeps comparing against threaded runs.
     pub backend: Option<String>,
-    /// Communication schedule (`level` | `taskgraph`). `None` in documents
-    /// that predate the schedule column; matched as equal to `level`, so
-    /// every historical snapshot keeps comparing against level-order runs.
-    pub schedule: Option<String>,
 }
 
 impl PointKey {
     /// Canonical form for matching: v1/v2 points carry no lookahead field,
     /// and v3 points at the default window mean the same configuration.
-    #[allow(clippy::type_complexity)]
-    fn canon(
-        &self,
-    ) -> (
-        String,
-        u64,
-        u64,
-        u64,
-        bool,
-        u64,
-        Option<String>,
-        String,
-        String,
-    ) {
+    fn canon(&self) -> (String, u64, u64, u64, bool, u64, Option<String>, String) {
         (
             self.matrix.clone(),
             self.n,
@@ -70,7 +53,6 @@ impl PointKey {
             self.lookahead.unwrap_or(DEFAULT_LOOKAHEAD),
             self.faults.clone(),
             self.backend.clone().unwrap_or_else(|| "threaded".into()),
-            self.schedule.clone().unwrap_or_else(|| "level".into()),
         )
     }
 
@@ -105,11 +87,6 @@ impl std::fmt::Display for PointKey {
         if let Some(b) = &self.backend {
             if b != "threaded" {
                 write!(f, " backend={b}")?;
-            }
-        }
-        if let Some(s) = &self.schedule {
-            if s != "level" {
-                write!(f, " schedule={s}")?;
             }
         }
         Ok(())
@@ -190,8 +167,22 @@ impl Snapshot {
             .and_then(Json::as_arr)
             .ok_or("snapshot has no points array")?;
         let mut points = Vec::new();
+        // Raw record index of each logical point (a v2 record yields two).
+        let mut origin = Vec::new();
         for (i, pt) in raw.iter().enumerate() {
             load_point(pt, version, &mut points).map_err(|e| format!("point #{i}: {e}"))?;
+            origin.resize(points.len(), i);
+        }
+        // Two points under one canonical key would make `find` silently
+        // pick the first, so a duplicate is a malformed document.
+        let mut seen = std::collections::HashMap::new();
+        for (j, p) in points.iter().enumerate() {
+            if let Some(i) = seen.insert(p.key.canon(), j) {
+                return Err(format!(
+                    "duplicate point key '{}' at points #{} and #{}",
+                    p.key, origin[i], origin[j]
+                ));
+            }
         }
         Ok(Snapshot {
             version,
@@ -234,10 +225,6 @@ impl Snapshot {
                         "backend".into(),
                         Json::str(p.key.backend.as_deref().unwrap_or("threaded")),
                     ),
-                    (
-                        "schedule".into(),
-                        Json::str(p.key.schedule.as_deref().unwrap_or("level")),
-                    ),
                 ];
                 if let Some(fa) = &p.key.faults {
                     fields.push(("faults".into(), Json::str(fa)));
@@ -275,7 +262,6 @@ fn load_point(pt: &Json, version: u32, out: &mut Vec<BenchPoint>) -> Result<(), 
         lookahead: None,
         faults: None,
         backend: None,
-        schedule: None,
     };
     let sim_metrics = |skip_wall: bool| -> Vec<(String, f64)> {
         METRICS
@@ -318,7 +304,6 @@ fn load_point(pt: &Json, version: u32, out: &mut Vec<BenchPoint>) -> Result<(), 
                 lookahead: pt.get("lookahead").and_then(Json::as_f64).map(|v| v as u64),
                 faults: str_field("faults"),
                 backend: str_field("backend"),
-                schedule: str_field("schedule"),
                 ..base
             };
             out.push(BenchPoint {
@@ -404,7 +389,6 @@ mod tests {
                     lookahead: Some(4),
                     faults: Some("drop:p=0.05".into()),
                     backend: Some("event".into()),
-                    schedule: Some("taskgraph".into()),
                 },
                 scale: "small".into(),
                 metrics: vec![
@@ -429,7 +413,6 @@ mod tests {
             lookahead: None,
             faults: None,
             backend: None,
-            schedule: None,
         };
         let b = PointKey {
             lookahead: Some(DEFAULT_LOOKAHEAD),
@@ -458,7 +441,6 @@ mod tests {
             lookahead: None,
             faults: None,
             backend: None,
-            schedule: None,
         };
         // An absent column and an explicit "threaded" are the same point;
         // an event point is new coverage, never matched against threaded.
@@ -480,36 +462,37 @@ mod tests {
     }
 
     #[test]
-    fn schedule_column_defaults_to_level_for_old_documents() {
-        let old = PointKey {
-            matrix: "m".into(),
-            n: 10,
-            p: 4,
-            pz: 1,
-            batched: false,
-            lookahead: None,
-            faults: None,
-            backend: None,
-            schedule: None,
+    fn duplicate_keys_are_rejected() {
+        // Points #1 and #2 differ only in a metric, so `find` could never
+        // reach #2; an absent lookahead means the default window.
+        let rec = |la: &str, makespan: f64| {
+            format!(
+                r#"{{"matrix": "kkt12", "scale": "gen", "n": 1728, "p": 64, "pz": 4,
+                     "batched": false, {la} "backend": "event", "makespan_secs": {makespan}}}"#
+            )
         };
-        // An absent column and an explicit "level" are the same point; a
-        // taskgraph point is new coverage, never matched against level.
-        assert!(old.matches(&PointKey {
-            schedule: Some("level".into()),
-            ..old.clone()
-        }));
-        assert!(!old.matches(&PointKey {
-            schedule: Some("taskgraph".into()),
-            ..old.clone()
-        }));
-        // Display keeps old keys stable and flags only non-default
-        // schedules.
-        assert!(!old.to_string().contains("schedule"));
-        let tg = PointKey {
-            schedule: Some("taskgraph".into()),
-            ..old
-        };
-        assert!(tg.to_string().ends_with("schedule=taskgraph"));
+        let doc = format!(
+            r#"{{"schema": "salu-bench-snapshot/3", "pr": "t", "points": [{}, {}, {}]}}"#,
+            rec(r#""lookahead": 4,"#, 0.01),
+            rec(r#""lookahead": 8,"#, 0.01),
+            rec("", 0.009),
+        );
+        let err = Snapshot::parse(&doc).unwrap_err();
+        assert!(err.contains("duplicate point key"), "{err}");
+        assert!(err.contains("kkt12 n=1728 P=64 Pz=4"), "{err}");
+        assert!(err.contains("#1 and #2"), "{err}");
+    }
+
+    #[test]
+    fn committed_snapshots_all_load() {
+        for name in ["pr3", "pr4", "pr8", "pr10"] {
+            let path = format!(
+                "{}/../../results/BENCH_{name}.json",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let snap = Snapshot::load(&path).unwrap();
+            assert!(!snap.points.is_empty(), "{path}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::compare::Tolerance;
 use crate::toml::{self, Table, Value};
-use simgrid::{Backend, Schedule};
+use simgrid::Backend;
 
 /// Where a point's matrix comes from.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -57,9 +57,6 @@ pub struct PointSpec {
     /// Execution backends to sweep (`threaded` | `event`); defaults to
     /// threaded only, matching every historical snapshot.
     pub backend: Vec<Backend>,
-    /// Communication schedules to sweep (`level` | `taskgraph`); defaults
-    /// to level only, matching every historical snapshot.
-    pub schedule: Vec<Schedule>,
     /// Per-point repetition override. Paper-scale points (P = 4096) take
     /// minutes per rep; this lets one point opt out of the campaign-wide
     /// best-of-N without loosening the small points.
@@ -79,7 +76,6 @@ pub struct Job {
     /// `None` = fault-free.
     pub faults: Option<String>,
     pub backend: Backend,
-    pub schedule: Schedule,
     pub reps: usize,
 }
 
@@ -101,9 +97,6 @@ impl Job {
         }
         if self.backend != Backend::Threaded {
             s.push_str(&format!("-{}", self.backend));
-        }
-        if self.schedule != Schedule::Level {
-            s.push_str(&format!("-{}", self.schedule));
         }
         s
     }
@@ -135,6 +128,7 @@ impl CampaignSpec {
         let header = doc
             .section("campaign")
             .ok_or("spec has no [campaign] section")?;
+        check_keys(header, "[campaign]", CAMPAIGN_KEYS)?;
         let name = req_str(header, "campaign", "name")?;
         let pr_label = opt_str(header, "pr")?.unwrap_or_else(|| name.clone());
         let reps = opt_usize(header, "campaign", "reps")?.unwrap_or(1).max(1);
@@ -148,6 +142,7 @@ impl CampaignSpec {
         };
         let mut tolerance = Tolerance::default();
         if let Some(t) = doc.section("tolerance") {
+            check_keys(t, "[tolerance]", TOLERANCE_KEYS)?;
             if let Some(v) = t.get("wall") {
                 tolerance.wall = v.as_f64().ok_or("[tolerance] wall must be a number")?;
             }
@@ -162,7 +157,9 @@ impl CampaignSpec {
         }
         let mut points = Vec::new();
         for (i, table) in doc.sections_named("point").into_iter().enumerate() {
-            points.push(parse_point(table).map_err(|e| format!("[[point]] #{}: {e}", i + 1))?);
+            let at = format!("[[point]] #{}", i + 1);
+            check_keys(table, &at, POINT_KEYS)?;
+            points.push(parse_point(table).map_err(|e| format!("{at}: {e}"))?);
         }
         if points.is_empty() {
             return Err("spec has no [[point]] blocks".into());
@@ -199,21 +196,18 @@ impl CampaignSpec {
                         for &lookahead in &pt.lookahead {
                             for faults in &pt.faults {
                                 for &backend in &pt.backend {
-                                    for &schedule in &pt.schedule {
-                                        jobs.push(Job {
-                                            matrix: pt.matrix.clone(),
-                                            leaf: pt.leaf,
-                                            maxsup: pt.maxsup,
-                                            p,
-                                            pz,
-                                            batched,
-                                            lookahead,
-                                            faults: (!faults.is_empty()).then(|| faults.clone()),
-                                            backend,
-                                            schedule,
-                                            reps: pt.reps.unwrap_or(self.reps),
-                                        });
-                                    }
+                                    jobs.push(Job {
+                                        matrix: pt.matrix.clone(),
+                                        leaf: pt.leaf,
+                                        maxsup: pt.maxsup,
+                                        p,
+                                        pz,
+                                        batched,
+                                        lookahead,
+                                        faults: (!faults.is_empty()).then(|| faults.clone()),
+                                        backend,
+                                        reps: pt.reps.unwrap_or(self.reps),
+                                    });
                                 }
                             }
                         }
@@ -301,21 +295,6 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
             vals
         }
     };
-    let schedule = match t.get("schedule") {
-        None => vec![Schedule::Level],
-        Some(v) => {
-            let vals: Option<Vec<Schedule>> = v
-                .as_list()
-                .iter()
-                .map(|x| x.as_str().and_then(|s| s.parse().ok()))
-                .collect();
-            let vals = vals.ok_or("schedule must be a list of 'level' | 'taskgraph'")?;
-            if vals.is_empty() {
-                return Err("schedule sweep is empty".into());
-            }
-            vals
-        }
-    };
     let reps = match t.get("reps") {
         None => None,
         Some(v) => Some(
@@ -334,9 +313,39 @@ fn parse_point(t: &Table) -> Result<PointSpec, String> {
         lookahead,
         faults,
         backend,
-        schedule,
         reps,
     })
+}
+
+const CAMPAIGN_KEYS: &[&str] = &["name", "pr", "reps", "workers", "baseline", "trace"];
+const TOLERANCE_KEYS: &[&str] = &["wall", "sim", "gate_wall"];
+const POINT_KEYS: &[&str] = &[
+    "matrix",
+    "scale",
+    "gen",
+    "leaf",
+    "maxsup",
+    "p",
+    "pz",
+    "batched",
+    "lookahead",
+    "faults",
+    "backend",
+    "reps",
+];
+
+/// Reject any key outside `allowed`: a misspelled or retired sweep axis
+/// must fail the parse, not quietly run its default.
+fn check_keys(t: &Table, table: &str, allowed: &[&str]) -> Result<(), String> {
+    for (k, _) in &t.entries {
+        if !allowed.contains(&k.as_str()) {
+            return Err(format!(
+                "{table}: unknown key '{k}' (allowed: {})",
+                allowed.join(", ")
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn single_usize(t: &Table, key: &str, default: usize) -> Result<usize, String> {
@@ -442,7 +451,6 @@ pz = [2, 3]
             (1, false, 8, 32, 32)
         );
         assert!(j.faults.is_none());
-        assert_eq!(j.schedule, Schedule::Level);
         assert_eq!(j.reps, 1);
         assert_eq!(spec.pr_label, "d", "pr label defaults to the name");
     }
@@ -530,33 +538,9 @@ pz = [2, 3]
     }
 
     #[test]
-    fn schedule_sweeps_expand_and_suffix_the_slug() {
-        let spec = CampaignSpec::parse(
-            "[campaign]\nname = \"s\"\n\
-             [[point]]\ngen = \"kkt:4\"\np = 8\npz = [4]\nbackend = [\"event\"]\n\
-             schedule = [\"level\", \"taskgraph\"]\n",
-        )
-        .unwrap();
-        let (jobs, _) = spec.expand();
-        assert_eq!(jobs.len(), 2);
-        assert_eq!(jobs[0].schedule, Schedule::Level);
-        assert_eq!(jobs[1].schedule, Schedule::TaskGraph);
-        // level stays suffix-free so historical artifact paths never move
-        assert_eq!(jobs[0].slug(), "kkt4-p8-pz4-perblock-event");
-        assert_eq!(jobs[1].slug(), "kkt4-p8-pz4-perblock-event-taskgraph");
-        assert!(
-            CampaignSpec::parse(
-                "[campaign]\nname = \"x\"\n[[point]]\nmatrix = \"a\"\np = 4\nschedule = [\"eager\"]\n"
-            )
-            .is_err(),
-            "unknown schedule names must be rejected at parse time"
-        );
-    }
-
-    #[test]
     fn the_committed_scaling_campaign_stays_valid() {
-        // The CI schedule gate runs this exact file; it must keep pairing
-        // every point across both schedules on the event backend.
+        // CI runs this exact file and compares it against the committed
+        // snapshot point for point.
         let text = std::fs::read_to_string(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/../../campaigns/scaling.toml"
@@ -566,16 +550,42 @@ pz = [2, 3]
         assert_eq!(spec.pr_label, "pr10");
         let (jobs, skipped) = spec.expand();
         assert!(skipped.is_empty(), "{skipped:?}");
-        // 4 P values x 2 Pz x 2 schedules, all event-backend
-        assert_eq!(jobs.len(), 16);
+        // 4 P values x 2 Pz, all event-backend
+        assert_eq!(jobs.len(), 8);
         assert!(jobs.iter().all(|j| j.backend == Backend::Event));
-        let tg: Vec<_> = jobs
-            .iter()
-            .filter(|j| j.schedule == Schedule::TaskGraph)
-            .collect();
-        assert_eq!(tg.len(), 8, "every grid point runs under both schedules");
-        // the paper-scale replicated point is the headline pair
-        assert!(tg.iter().any(|j| j.p == 4096 && j.pz == 4));
+        assert!(jobs.iter().any(|j| j.p == 4096 && j.pz == 4));
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_naming_table_and_key() {
+        let point = "[[point]]\nmatrix = \"a\"\np = 4\n";
+        // A retired sweep axis must not quietly run the default.
+        let err = CampaignSpec::parse(&format!(
+            "[campaign]\nname = \"x\"\n{point}schedule = [\"level\"]\n"
+        ))
+        .unwrap_err();
+        assert!(err.contains("[[point]] #1"), "{err}");
+        assert!(err.contains("'schedule'"), "{err}");
+        // A misspelled sweep axis must not quietly run lookahead 8.
+        let err = CampaignSpec::parse(&format!(
+            "[campaign]\nname = \"x\"\n{point}lookahed = [0]\n"
+        ))
+        .unwrap_err();
+        assert!(err.contains("'lookahed'"), "{err}");
+        let err = CampaignSpec::parse(&format!("[campaign]\nname = \"x\"\nworker = 2\n{point}"))
+            .unwrap_err();
+        assert!(
+            err.contains("[campaign]") && err.contains("'worker'"),
+            "{err}"
+        );
+        let err = CampaignSpec::parse(&format!(
+            "[campaign]\nname = \"x\"\n[tolerance]\nsimm = 0.02\n{point}"
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("[tolerance]") && err.contains("'simm'"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! Two halves, sharing one vocabulary of findings:
 //!
-//! - **Online sanitizer** — runs *inside* a simulation when enabled.
-//!   Vector clocks ([`VClock`]) piggybacked on every message give the
-//!   happens-before order; the outstanding-send table ([`SanState`])
-//!   detects wildcard-receive **races** (two concurrent sends competing
-//!   for the same `(ctx, tag)` slot) and finalize-time **leaks** (sent but
-//!   never received). The wait-for graph ([`WaitGraph`]) detects
+//! - **Online sanitizer** — runs *inside* a simulation when enabled. The
+//!   outstanding-send table ([`SanState`]) reports finalize-time **leaks**
+//!   (sent but never received). The wait-for graph ([`WaitGraph`]) detects
 //!   **deadlock** while the run is still alive and aborts with the exact
 //!   cycle — rank, phase, `(ctx, src, tag)` — instead of a bare timeout.
+//!   There is no race check: every receive names its source and each
+//!   `(ctx, src, tag)` channel is FIFO, so which message a receive matches
+//!   never depends on timing.
 //! - **Offline linter** ([`lint_trace`], [`check_determinism`]) — replays
 //!   the Chrome-trace artifacts the `obs` crate exports and statically
 //!   checks send↔recv pairing, per-`(ctx, tag)` FIFO order, collective
@@ -25,11 +25,9 @@
 pub mod lint;
 pub mod online;
 pub mod report;
-pub mod vclock;
 pub mod waitgraph;
 
 pub use lint::{check_determinism, lint_trace, LintReport, LintStats};
 pub use online::{SanState, SendRec};
 pub use report::{CommReport, Finding};
-pub use vclock::VClock;
 pub use waitgraph::{WaitGraph, WaitInfo};

@@ -1,18 +1,12 @@
 //! Shared state of the online sanitizer: the outstanding-send table that
-//! backs both happens-before race detection and finalize-time leak
-//! reporting.
+//! backs finalize-time leak reporting.
 //!
 //! The machine owns one [`SanState`] per sanitized run. Every send
-//! registers itself (with the sender's vector clock and phase); every
-//! receive retires the matched entry. A wildcard match asks the table
-//! whether any *other* outstanding send to the same `(dst, ctx, tag)` slot
-//! is concurrent with the matched one under happens-before — if so, the
-//! match order was a coin flip and a [`Finding::Race`] is recorded.
-//! Whatever is still outstanding when every rank has finished is a
-//! [`Finding::Leak`].
+//! registers itself (with the sender's phase); every receive retires the
+//! matched entry. Whatever is still outstanding when every rank has
+//! finished is a [`Finding::Leak`].
 
 use crate::report::{CommReport, Finding};
-use crate::vclock::VClock;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -26,8 +20,6 @@ pub struct SendRec {
     pub words: u64,
     /// Sender's traffic phase at send time.
     pub phase: String,
-    /// Sender's vector clock at the send event.
-    pub clock: VClock,
 }
 
 #[derive(Debug, Default)]
@@ -37,7 +29,6 @@ struct Inner {
     findings: Vec<Finding>,
     msgs_sent: u64,
     msgs_received: u64,
-    wildcard_matches: u64,
 }
 
 /// Machine-wide sanitizer state, shared by all rank threads.
@@ -51,7 +42,7 @@ impl SanState {
         SanState::default()
     }
 
-    /// Register a send. Called by the sending rank with its ticked clock.
+    /// Register a send. Called by the sending rank.
     pub fn on_send(&self, uid: u64, rec: SendRec) {
         let mut g = self.inner.lock().unwrap();
         g.msgs_sent += 1;
@@ -63,43 +54,6 @@ impl SanState {
         let mut g = self.inner.lock().unwrap();
         g.msgs_received += 1;
         g.outstanding.remove(&uid)
-    }
-
-    /// Check a wildcard match for happens-before races: any other
-    /// outstanding send to `(receiver, ctx, tag)` whose clock is concurrent
-    /// with the matched send's could equally have matched, so the choice
-    /// was nondeterministic. Records one finding per concurrent rival.
-    /// Call *before* [`SanState::on_recv`] retires the matched uid.
-    pub fn check_wildcard_match(
-        &self,
-        receiver: usize,
-        ctx: u64,
-        tag: u64,
-        matched_uid: u64,
-        phase: &str,
-    ) {
-        let mut g = self.inner.lock().unwrap();
-        g.wildcard_matches += 1;
-        let Some(matched) = g.outstanding.get(&matched_uid).cloned() else {
-            return;
-        };
-        let mut races = Vec::new();
-        for (uid, rec) in &g.outstanding {
-            if *uid == matched_uid || rec.dst != receiver || rec.ctx != ctx || rec.tag != tag {
-                continue;
-            }
-            if rec.src != matched.src && rec.clock.concurrent_with(&matched.clock) {
-                races.push(Finding::Race {
-                    receiver,
-                    ctx,
-                    tag,
-                    matched_src: matched.src,
-                    rival_src: rec.src,
-                    phase: phase.to_string(),
-                });
-            }
-        }
-        g.findings.extend(races);
     }
 
     /// Record an arbitrary finding.
@@ -128,7 +82,6 @@ impl SanState {
             findings: g.findings,
             msgs_sent: g.msgs_sent,
             msgs_received: g.msgs_received,
-            wildcard_matches: g.wildcard_matches,
         }
     }
 }
@@ -137,7 +90,7 @@ impl SanState {
 mod tests {
     use super::*;
 
-    fn rec(src: usize, dst: usize, ctx: u64, tag: u64, clock: VClock) -> SendRec {
+    fn rec(src: usize, dst: usize, ctx: u64, tag: u64) -> SendRec {
         SendRec {
             src,
             dst,
@@ -145,80 +98,20 @@ mod tests {
             tag,
             words: 4,
             phase: "fact".into(),
-            clock,
         }
-    }
-
-    #[test]
-    fn concurrent_rivals_are_reported_as_races() {
-        let s = SanState::new();
-        let mut c1 = VClock::new(3);
-        c1.tick(1);
-        let mut c2 = VClock::new(3);
-        c2.tick(2);
-        s.on_send(10, rec(1, 0, 0, 7, c1));
-        s.on_send(20, rec(2, 0, 0, 7, c2));
-        s.check_wildcard_match(0, 0, 7, 10, "reduce");
-        s.on_recv(10);
-        let rep = s.into_report();
-        let races: Vec<_> = rep.races().collect();
-        assert_eq!(races.len(), 1);
-        match races[0] {
-            Finding::Race {
-                matched_src,
-                rival_src,
-                tag,
-                ..
-            } => {
-                assert_eq!((*matched_src, *rival_src, *tag), (1, 2, 7));
-            }
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn ordered_sends_are_not_races() {
-        let s = SanState::new();
-        // Rank 1 sends, rank 2 observed that send (merged clock), then sent.
-        let mut c1 = VClock::new(3);
-        c1.tick(1);
-        let mut c2 = c1.clone();
-        c2.tick(2);
-        s.on_send(10, rec(1, 0, 0, 7, c1));
-        s.on_send(20, rec(2, 0, 0, 7, c2));
-        s.check_wildcard_match(0, 0, 7, 10, "fact");
-        s.on_recv(10);
-        assert_eq!(s.into_report().races().count(), 0);
-    }
-
-    #[test]
-    fn different_slot_never_races() {
-        let s = SanState::new();
-        let mut c1 = VClock::new(3);
-        c1.tick(1);
-        let mut c2 = VClock::new(3);
-        c2.tick(2);
-        s.on_send(10, rec(1, 0, 0, 7, c1));
-        s.on_send(20, rec(2, 0, 0, 8, c2)); // different tag
-        s.check_wildcard_match(0, 0, 7, 10, "fact");
-        s.on_recv(10);
-        assert_eq!(s.into_report().races().count(), 0);
     }
 
     #[test]
     fn unreceived_sends_become_leaks() {
         let s = SanState::new();
-        let c = VClock::new(2);
-        s.on_send(5, rec(0, 1, 2, 3, c.clone()));
-        s.on_send(6, rec(0, 1, 2, 4, c));
+        s.on_send(5, rec(0, 1, 2, 3));
+        s.on_send(6, rec(0, 1, 2, 4));
         s.on_recv(5);
         let rep = s.into_report();
         let leaks: Vec<_> = rep.leaks().collect();
         assert_eq!(leaks.len(), 1);
-        match leaks[0] {
-            Finding::Leak { src, dst, tag, .. } => assert_eq!((*src, *dst, *tag), (0, 1, 4)),
-            _ => unreachable!(),
-        }
+        let Finding::Leak { src, dst, tag, .. } = leaks[0];
+        assert_eq!((*src, *dst, *tag), (0, 1, 4));
         assert_eq!(rep.msgs_sent, 2);
         assert_eq!(rep.msgs_received, 1);
     }

@@ -5,21 +5,6 @@ use std::fmt;
 /// One communication-correctness defect found during a sanitized run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Finding {
-    /// Two sends concurrent under happens-before competed for the same
-    /// wildcard receive slot: the match order — and therefore anything
-    /// order-sensitive downstream, like a floating-point reduction — is
-    /// nondeterministic.
-    Race {
-        receiver: usize,
-        ctx: u64,
-        tag: u64,
-        /// The message that actually matched.
-        matched_src: usize,
-        /// The concurrent competitor (in flight or already queued).
-        rival_src: usize,
-        /// Phase label active on the receiver at match time.
-        phase: String,
-    },
     /// A message that was sent but never received: still sitting in the
     /// destination's channel or pending queue when the run finished.
     Leak {
@@ -36,20 +21,6 @@ pub enum Finding {
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Finding::Race {
-                receiver,
-                ctx,
-                tag,
-                matched_src,
-                rival_src,
-                phase,
-            } => write!(
-                f,
-                "RACE: wildcard recv on rank {receiver} (ctx={ctx}, tag={tag}, \
-                 phase={phase}) matched a send from rank {matched_src} while a \
-                 concurrent send from rank {rival_src} could equally have \
-                 matched — message order is nondeterministic"
-            ),
             Finding::Leak {
                 src,
                 dst,
@@ -74,21 +45,12 @@ pub struct CommReport {
     pub msgs_sent: u64,
     /// Messages matched by a receive.
     pub msgs_received: u64,
-    /// Wildcard matches that were checked for races.
-    pub wildcard_matches: u64,
 }
 
 impl CommReport {
     /// No defects found.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-
-    /// Findings of the race kind.
-    pub fn races(&self) -> impl Iterator<Item = &Finding> {
-        self.findings
-            .iter()
-            .filter(|f| matches!(f, Finding::Race { .. }))
     }
 
     /// Findings of the leak kind.
@@ -101,11 +63,11 @@ impl CommReport {
     /// Human-readable multi-line report.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "commcheck: {} sent, {} received, {} wildcard matches checked\n",
-            self.msgs_sent, self.msgs_received, self.wildcard_matches
+            "commcheck: {} sent, {} received\n",
+            self.msgs_sent, self.msgs_received
         );
         if self.is_clean() {
-            out.push_str("commcheck: clean — no races, no leaks\n");
+            out.push_str("commcheck: clean — no leaks\n");
         } else {
             for f in &self.findings {
                 out.push_str(&format!("commcheck: {f}\n"));
@@ -122,27 +84,17 @@ mod tests {
     #[test]
     fn findings_render_with_rank_and_slot_detail() {
         let mut rep = CommReport::default();
-        rep.findings.push(Finding::Race {
-            receiver: 0,
-            ctx: 3,
-            tag: 7,
-            matched_src: 1,
-            rival_src: 2,
-            phase: "reduce".into(),
-        });
         rep.findings.push(Finding::Leak {
             src: 1,
             dst: 0,
-            ctx: 0,
-            tag: 9,
+            ctx: 3,
+            tag: 7,
             words: 64,
             phase: "fact".into(),
         });
         assert!(!rep.is_clean());
-        assert_eq!(rep.races().count(), 1);
         assert_eq!(rep.leaks().count(), 1);
         let r = rep.render();
-        assert!(r.contains("RACE"), "{r}");
         assert!(r.contains("ctx=3, tag=7"), "{r}");
         assert!(r.contains("LEAK"), "{r}");
         assert!(r.contains("1 -> 0"), "{r}");

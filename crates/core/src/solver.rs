@@ -8,7 +8,7 @@ use crate::solve3d::solve_3d;
 use simgrid::topology::build_grid_comms;
 use simgrid::{
     Backend, FailKind, FaultPlan, Grid3d, Machine, MachineFailure, RankReport, RetryPolicy,
-    Schedule, TimeModel, TrafficSummary,
+    TimeModel, TrafficSummary,
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
@@ -65,11 +65,12 @@ pub struct SolverConfig {
     /// host-side — simulated clocks, factors, and digests are untouched.
     /// Off by default.
     pub host_profiling: bool,
-    /// Run under the communication sanitizer (`commcheck`): vector-clock
-    /// race detection on wildcard receives, message-leak accounting, and a
-    /// wait-for-graph deadlock detector that aborts a hung run within
-    /// ~100ms naming the exact cycle. Off by default — then no clocks, no
-    /// send table, and no detector thread exist (zero overhead). The
+    /// Run under the communication sanitizer (`commcheck`): message-leak
+    /// accounting and a wait-for-graph deadlock detector that aborts a hung
+    /// run within ~100ms naming the exact cycle. Races cannot occur: every
+    /// receive names its source and each `(ctx, src, tag)` channel is
+    /// FIFO. Off by default — then no send table and no detector thread
+    /// exist (zero overhead). The
     /// report lands in [`Output3d::sanitizer`]; findings panic at the end
     /// of the run so CI cannot miss them.
     pub sanitize: bool,
@@ -98,16 +99,6 @@ pub struct SolverConfig {
     /// profiling is threaded-only and the machine rejects
     /// `host_profiling = true` under `Event` with a config error.
     pub backend: Backend,
-    /// When the ancestor-reduction sends fire (docs/backends.md,
-    /// "Schedules"). [`Schedule::Level`] (the default) ships every
-    /// replicated-ancestor supernode at the level boundary, as in the
-    /// paper's Algorithm 1. [`Schedule::TaskGraph`] derives a per-rank
-    /// dependency DAG from symbolic analysis ([`crate::taskgraph`]) and
-    /// hoists each send to the completion of the supernode's last local
-    /// Schur writer. Factors, solutions, and the wire/memory ledgers are
-    /// bitwise identical between schedules on both backends; only
-    /// simulated clocks (and the makespan) may drop.
-    pub schedule: Schedule,
 }
 
 impl Default for SolverConfig {
@@ -129,7 +120,6 @@ impl Default for SolverConfig {
             retry: None,
             recv_deadline: None,
             backend: Backend::Threaded,
-            schedule: Schedule::default(),
         }
     }
 }
@@ -458,7 +448,6 @@ fn try_run(
     let forest_cl = Arc::clone(&forest);
     let cfg_refine = cfg.refine_steps;
     let strategy = cfg.solve_strategy;
-    let schedule = cfg.schedule;
 
     let out = machine.try_run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
@@ -491,9 +480,7 @@ fn try_run(
         // A structured stage failure ends this rank in an orderly way: the
         // machine's failure board attributes the run to it (not to the
         // ranks that cascade), and `try_run` surfaces it as the error.
-        let outcome = match factor_3d(
-            rank, &grid3, &comms, &mut store, &sym, &forest_cl, opts, schedule,
-        ) {
+        let outcome = match factor_3d(rank, &grid3, &comms, &mut store, &sym, &forest_cl, opts) {
             Ok(o) => o,
             Err(kind) => rank.fail(kind),
         };
@@ -815,7 +802,7 @@ mod tests {
     #[test]
     fn sanitized_full_run_is_clean() {
         // The whole 3D factor+solve pipeline under the communication
-        // sanitizer: every send matched, no wildcard races, no leaks. (Any
+        // sanitizer: every send matched, no leaks. (Any
         // finding would panic inside `run`.)
         let a = grid2d_5pt(12, 12, 0.1, 11);
         let n = a.nrows;

@@ -37,14 +37,4 @@ impl Comm {
     pub fn world_rank_of(&self, local: usize) -> usize {
         self.members[local]
     }
-
-    /// The member list (world ranks, in local order).
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Local rank of a given world rank, if a member.
-    pub fn local_rank_of_world(&self, world: usize) -> Option<usize> {
-        self.members.iter().position(|&w| w == world)
-    }
 }

@@ -353,17 +353,17 @@ pub enum RecvError {
     /// The wait-for-graph detector confirmed a deadlock involving this
     /// rank; `report` names the exact cycle.
     Deadlock { report: String },
-    /// Every rank that could have satisfied this receive terminated after
+    /// The rank that could have satisfied this receive terminated after
     /// rank `origin` failed — the wait can never complete.
     PeerFailed {
         origin: usize,
-        src: String,
+        src: usize,
         ctx: u64,
         tag: u64,
     },
     /// The wall-clock backstop expired (`SALU_RECV_TIMEOUT_SECS`).
     WallTimeout {
-        src: String,
+        src: usize,
         ctx: u64,
         tag: u64,
         dump: String,
@@ -434,12 +434,6 @@ pub enum FailKind {
         level: Option<usize>,
         detail: String,
     },
-    /// A wildcard receive matched a message whose sender is not a member
-    /// of the receiving communicator: communicator-context aliasing, i.e.
-    /// some rank broke [`crate::Rank::subset`]'s collective, same-order
-    /// contract. Carries the message provenance (the failing rank's phase
-    /// rides on the [`RankFailure`] record).
-    NonMemberMatch { src: usize, ctx: u64, tag: u64 },
     /// An invalid machine configuration rejected before any rank ran
     /// (e.g. host profiling requested under the event backend).
     Config { detail: String },
@@ -491,13 +485,6 @@ impl fmt::Display for FailKind {
                 }
                 write!(f, ": {detail}")
             }
-            FailKind::NonMemberMatch { src, ctx, tag } => write!(
-                f,
-                "wildcard recv matched a message from world rank {src}, which is \
-                 not a member of the receiving communicator (ctx={ctx}, tag={tag}): \
-                 communicator contexts are aliased — `subset` must be called \
-                 collectively, in the same order, with the same members on every rank"
-            ),
             FailKind::Config { detail } => write!(f, "configuration error: {detail}"),
             FailKind::Panic { message } => write!(f, "{message}"),
         }

@@ -71,7 +71,7 @@ pub struct RunResult<T> {
     pub results: Vec<T>,
     /// Per-rank traffic/time reports, indexed by world rank.
     pub reports: Vec<RankReport>,
-    /// Communication-correctness report (races, leaks, counts), `None`
+    /// Communication-correctness report (leaks, counts), `None`
     /// unless the machine ran with [`Machine::with_sanitizer`].
     pub sanitizer: Option<CommReport>,
 }
@@ -227,12 +227,13 @@ impl Machine {
         self
     }
 
-    /// Enable the communication sanitizer (see the `commcheck` crate):
-    /// vector clocks on every message for wildcard-receive race detection,
-    /// an outstanding-send table for leak accounting, and a wait-for-graph
+    /// Enable the communication sanitizer (see the `commcheck` crate): an
+    /// outstanding-send table for leak accounting, and a wait-for-graph
     /// deadlock detector that aborts a deadlocked run within ~100ms naming
-    /// the exact cycle. Off by default — then no clocks are allocated, no
-    /// table is kept, and no detector thread runs.
+    /// the exact cycle. There is no race check: every receive names its
+    /// source and each `(ctx, src, tag)` channel is FIFO, so matching never
+    /// depends on timing. Off by default — then no table is kept and no
+    /// detector thread runs.
     pub fn with_sanitizer(mut self) -> Self {
         self.sanitize = true;
         self

@@ -12,7 +12,7 @@ use crate::stats::{PhaseCounter, RankReport};
 use crate::tags::COLL_TAG;
 use crate::timemodel::TimeModel;
 use crate::topology::Grid3d;
-use commcheck::{SanState, SendRec, VClock, WaitGraph, WaitInfo};
+use commcheck::{SanState, SendRec, WaitGraph, WaitInfo};
 use crossbeam::channel::{Receiver, Sender};
 use obs::{
     ActivityKind, CommClass, CommLedger, GridAxis, HostPhase, HostProf, HostScope, MemClass,
@@ -37,9 +37,6 @@ pub(crate) struct Msg {
     /// Machine-unique id linking this message's send and recv trace
     /// activities (high bits: sender world rank; low bits: send sequence).
     pub uid: u64,
-    /// Sender's vector clock at the send, piggybacked when the sanitizer is
-    /// on. `None` (no allocation, no work) otherwise.
-    pub clock: Option<Box<VClock>>,
     /// Link-degradation factor in effect on this edge (1.0 = healthy);
     /// the receiver charges the same degraded transfer cost the sender did.
     pub link: f64,
@@ -47,6 +44,13 @@ pub(crate) struct Msg {
     /// receiver filters it at intake before protocol matching.
     pub injected_dup: bool,
     pub payload: Payload,
+}
+
+impl Msg {
+    /// The FIFO channel this message travels on: `(ctx, src_world, tag)`.
+    fn key(&self) -> (u64, usize, u64) {
+        (self.ctx, self.src_world, self.tag)
+    }
 }
 
 /// The execution context handed to the SPMD closure for each simulated rank.
@@ -105,8 +109,6 @@ pub struct Rank {
     /// Online sanitizer state, present when the machine runs with
     /// [`crate::Machine::with_sanitizer`].
     san: Option<Arc<SanState>>,
-    /// This rank's vector clock (happens-before), present iff `san` is.
-    vclock: Option<VClock>,
     /// Seeded fault plan, present when the machine runs with
     /// [`crate::Machine::with_fault_plan`]. `None` costs nothing on the
     /// send path.
@@ -196,7 +198,6 @@ impl Rank {
             comm_class: None,
             grid: None,
             wait_graph,
-            vclock: san.as_ref().map(|_| VClock::new(world_size)),
             san,
             faults: fctx.faults,
             retry: fctx.retry,
@@ -681,27 +682,20 @@ impl Rank {
             self.metrics.inc("fault.resent_msgs", 1);
             self.metrics.inc("fault.resent_words", words);
         }
-        // Sanitizer: the send is an event — tick, register in the
-        // outstanding table, and piggyback the clock on the message.
-        let clock = match (&self.san, &mut self.vclock) {
-            (Some(san), Some(vc)) if visible => {
-                vc.tick(self.world_rank);
-                san.on_send(
-                    uid,
-                    SendRec {
-                        src: self.world_rank,
-                        dst: dst_world,
-                        ctx,
-                        tag,
-                        words,
-                        phase: self.phase.clone(),
-                        clock: vc.clone(),
-                    },
-                );
-                Some(Box::new(vc.clone()))
-            }
-            _ => None,
-        };
+        // Sanitizer: register the send in the outstanding table.
+        if let Some(san) = self.san.as_ref().filter(|_| visible) {
+            san.on_send(
+                uid,
+                SendRec {
+                    src: self.world_rank,
+                    dst: dst_world,
+                    ctx,
+                    tag,
+                    words,
+                    phase: self.phase.clone(),
+                },
+            );
+        }
         if !deliver {
             return;
         }
@@ -711,12 +705,17 @@ impl Rank {
             tag,
             arrival: self.clock + delay,
             uid,
-            clock,
             link,
             injected_dup,
             payload,
         };
         if self.senders[dst_world].send(msg).is_err() {
+            // A recovered duplicate trails an original the peer may already
+            // have consumed before exiting; its intake would have filtered
+            // the duplicate anyway, so it is simply lost.
+            if injected_dup {
+                return;
+            }
             self.fail(FailKind::PeerDown { peer: dst_world });
         }
         // Event backend: a delivered message is a scheduler event — tell
@@ -728,10 +727,7 @@ impl Rank {
 
     /// Buffer a message that did not match the receive in progress.
     fn stash(&mut self, m: Msg) {
-        self.pending
-            .entry((m.ctx, m.src_world, m.tag))
-            .or_default()
-            .push_back(m);
+        self.pending.entry(m.key()).or_default().push_back(m);
     }
 
     fn pop_pending(&mut self, key: (u64, usize, u64)) -> Option<Msg> {
@@ -749,23 +745,18 @@ impl Rank {
         Some(m)
     }
 
-    /// Wait on the inbox for a message satisfying `accept`, buffering
-    /// everything else. The caller has already checked `pending`. While
-    /// genuinely blocked (channel empty), this rank is registered in the
-    /// machine's wait-for graph: the deadlock detector reads it, and a
-    /// confirmed deadlock published there aborts the wait immediately with
-    /// the cycle report. A wait whose possible senders have all terminated
-    /// after another rank failed resolves as a cascade
-    /// ([`RecvError::PeerFailed`]); the wall-clock timeout stays as the
-    /// last backstop and its report names the whole wait-for-graph state.
-    fn blocked_recv(
-        &mut self,
-        ctx: u64,
-        tag: u64,
-        targets: Vec<usize>,
-        wildcard: bool,
-        accept: impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    /// Wait on the inbox for the message on channel `key` =
+    /// `(ctx, src_world, tag)`, buffering everything else. The caller has
+    /// already checked `pending`. While genuinely blocked (channel empty),
+    /// this rank is registered in the machine's wait-for graph: the
+    /// deadlock detector reads it, and a confirmed deadlock published there
+    /// aborts the wait immediately with the cycle report. A wait whose
+    /// sender has terminated after another rank failed resolves as a
+    /// cascade ([`RecvError::PeerFailed`]); the wall-clock timeout stays as
+    /// the last backstop and its report names the whole wait-for-graph
+    /// state.
+    fn blocked_recv(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
+        let (ctx, src, tag) = key;
         // Host-profiler attribution: everything below — including the
         // fast-path drain — is time spent satisfying a receive the
         // algorithm is blocked on.
@@ -773,30 +764,24 @@ impl Rank {
         // Fast path: drain whatever is already queued without blocking.
         while let Ok(m) = self.inbox.try_recv() {
             let Some(m) = self.intake(m) else { continue };
-            if accept(&m) {
+            if m.key() == key {
                 return Ok(m);
             }
             self.stash(m);
         }
-        let src_desc = if wildcard {
-            "ANY".to_string()
-        } else {
-            targets.first().map(|t| t.to_string()).unwrap_or_default()
-        };
         self.wait_graph.block(
             self.world_rank,
             WaitInfo {
-                targets: targets.clone(),
-                wildcard,
+                target: src,
                 ctx,
                 tag,
                 phase: self.phase.clone(),
             },
         );
         let result = if self.evt.is_some() {
-            self.blocked_wait_event(ctx, tag, &targets, &src_desc, &accept)
+            self.blocked_wait_event(key)
         } else {
-            self.blocked_wait_threaded(ctx, tag, &targets, &src_desc, &accept)
+            self.blocked_wait_threaded(key)
         };
         self.wait_graph.unblock(self.world_rank);
         result
@@ -805,14 +790,7 @@ impl Rank {
     /// Threaded-backend wait: sleep on the channel in slices, polling for a
     /// published deadlock report, cascade resolution, and the wall-clock
     /// backstop.
-    fn blocked_wait_threaded(
-        &mut self,
-        ctx: u64,
-        tag: u64,
-        targets: &[usize],
-        src_desc: &str,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn blocked_wait_threaded(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
         // det-lint: allow(wall-clock): host watchdog against a hung recv, not simulated time
         let deadline = Instant::now() + self.recv_timeout;
         loop {
@@ -822,19 +800,20 @@ impl Rank {
             match self.inbox.recv_timeout(BLOCK_SLICE) {
                 Ok(m) => {
                     let Some(m) = self.intake(m) else { continue };
-                    if accept(&m) {
+                    if m.key() == key {
                         return Ok(m);
                     }
                     self.stash(m);
                 }
                 Err(_) => {
-                    if self.board.has_failure() && self.wait_graph.all_done(targets) {
-                        return self.resolve_cascade(ctx, tag, src_desc, accept);
+                    let (ctx, src, tag) = key;
+                    if self.board.has_failure() && self.wait_graph.is_done(src) {
+                        return self.resolve_cascade(key);
                     }
                     // det-lint: allow(wall-clock): host watchdog check
                     if Instant::now() >= deadline {
                         return Err(RecvError::WallTimeout {
-                            src: src_desc.to_string(),
+                            src,
                             ctx,
                             tag,
                             dump: self.wait_graph.dump(),
@@ -850,20 +829,13 @@ impl Rank {
     /// resumed when a message is delivered to it — or when the scheduler,
     /// seeing the whole machine quiescent, has published a deadlock report
     /// or wants waits on dead peers resolved as cascades.
-    fn blocked_wait_event(
-        &mut self,
-        ctx: u64,
-        tag: u64,
-        targets: &[usize],
-        src_desc: &str,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn blocked_wait_event(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
         loop {
             if let Some(report) = self.wait_graph.deadlock_report() {
                 return Err(RecvError::Deadlock { report });
             }
-            if self.board.has_failure() && self.wait_graph.all_done(targets) {
-                return self.resolve_cascade(ctx, tag, src_desc, accept);
+            if self.board.has_failure() && self.wait_graph.is_done(key.1) {
+                return self.resolve_cascade(key);
             }
             // Park. On resume either a message is waiting in the inbox or
             // the machine went quiescent and the checks above will fire.
@@ -873,7 +845,7 @@ impl Rank {
                 .yield_blocked();
             while let Ok(m) = self.inbox.try_recv() {
                 let Some(m) = self.intake(m) else { continue };
-                if accept(&m) {
+                if m.key() == key {
                     return Ok(m);
                 }
                 self.stash(m);
@@ -881,21 +853,15 @@ impl Rank {
         }
     }
 
-    /// Every rank that could satisfy this receive has terminated after a
+    /// The rank that could satisfy this receive has terminated after a
     /// failure elsewhere. Drain once more — a dying peer may have pushed
     /// the match right before exiting — then give up as a cascade of the
     /// primary failure.
-    fn resolve_cascade(
-        &mut self,
-        ctx: u64,
-        tag: u64,
-        src_desc: &str,
-        accept: &impl Fn(&Msg) -> bool,
-    ) -> Result<Msg, RecvError> {
+    fn resolve_cascade(&mut self, key: (u64, usize, u64)) -> Result<Msg, RecvError> {
         let mut matched = None;
         while let Ok(m) = self.inbox.try_recv() {
             let Some(m) = self.intake(m) else { continue };
-            if matched.is_none() && accept(&m) {
+            if matched.is_none() && m.key() == key {
                 matched = Some(m);
             } else {
                 self.stash(m);
@@ -905,16 +871,16 @@ impl Rank {
             Some(m) => Ok(m),
             None => Err(RecvError::PeerFailed {
                 origin: self.board.primary_rank().unwrap_or(self.world_rank),
-                src: src_desc.to_string(),
-                ctx,
-                tag,
+                src: key.1,
+                ctx: key.0,
+                tag: key.2,
             }),
         }
     }
 
-    /// Receiver-side accounting shared by [`Rank::recv`] and
-    /// [`Rank::recv_any`]: clock advance, trace activities, traffic
-    /// counters, and the sanitizer's clock merge.
+    /// Receiver-side accounting for [`Rank::recv_checked`]: clock advance,
+    /// trace activities, traffic counters, and the sanitizer's retirement
+    /// of the matched send.
     fn complete_recv(&mut self, msg: Msg) -> Result<Payload, RecvError> {
         let src_world = msg.src_world;
         let words = msg.payload.words();
@@ -928,12 +894,6 @@ impl Rank {
                 // entry must still retire — the reportable failure is the
                 // deadline, not a spurious message leak.
                 if let Some(san) = &self.san {
-                    if let Some(vc) = &mut self.vclock {
-                        if let Some(sender_clock) = &msg.clock {
-                            vc.merge(sender_clock);
-                        }
-                        vc.tick(self.world_rank);
-                    }
                     san.on_recv(msg.uid);
                 }
                 return Err(RecvError::Deadline {
@@ -988,15 +948,8 @@ impl Rank {
             c.recv_msgs += 1;
             c.recv_words += words;
         }
-        // Sanitizer: absorb the sender's clock (this receive happens after
-        // the send), tick our own event, retire the outstanding entry.
+        // Sanitizer: retire the outstanding entry.
         if let Some(san) = &self.san {
-            if let Some(vc) = &mut self.vclock {
-                if let Some(sender_clock) = &msg.clock {
-                    vc.merge(sender_clock);
-                }
-                vc.tick(self.world_rank);
-            }
             san.on_recv(msg.uid);
         }
         Ok(msg.payload)
@@ -1038,9 +991,7 @@ impl Rank {
         let key = (comm.ctx, src_world, tag);
         let msg = match self.pop_pending(key) {
             Some(m) => m,
-            None => self.blocked_recv(comm.ctx, tag, vec![src_world], false, |m| {
-                (m.ctx, m.src_world, m.tag) == key
-            })?,
+            None => self.blocked_recv(key)?,
         };
         self.complete_recv(msg)
     }
@@ -1090,72 +1041,6 @@ impl Rank {
                 tag,
             }),
         }
-    }
-
-    /// Wildcard receive (`MPI_ANY_SOURCE`): the next message on `comm` with
-    /// `tag` from *any* member. Returns the sender's local rank and the
-    /// payload.
-    ///
-    /// Which message matches depends on arrival order, so two concurrent
-    /// senders make the result nondeterministic — exactly what the
-    /// sanitizer's happens-before race check flags
-    /// ([`commcheck::Finding::Race`]). Prefer deterministic-source
-    /// [`Rank::recv`] in algorithm code; this exists for opportunistic
-    /// work-stealing patterns and for exercising the race detector.
-    pub fn recv_any(&mut self, comm: &Comm, tag: u64) -> (usize, Payload) {
-        let ctx = comm.ctx;
-        // Pull everything already queued into `pending`, then scan members
-        // in local-rank order so the buffered case is deterministic.
-        while let Ok(m) = self.inbox.try_recv() {
-            if let Some(m) = self.intake(m) {
-                self.stash(m);
-            }
-        }
-        let mut found = None;
-        for &w in comm.members().iter() {
-            if let Some(m) = self.pop_pending((ctx, w, tag)) {
-                found = Some(m);
-                break;
-            }
-        }
-        let msg = match found {
-            Some(m) => m,
-            None => {
-                let targets: Vec<usize> = comm
-                    .members()
-                    .iter()
-                    .copied()
-                    .filter(|&w| w != self.world_rank)
-                    .collect();
-                match self.blocked_recv(ctx, tag, targets, true, |m| m.ctx == ctx && m.tag == tag) {
-                    Ok(m) => m,
-                    Err(e) => self.fail_recv(e),
-                }
-            }
-        };
-        // Race check must see the matched send while it is still
-        // outstanding (complete_recv retires it).
-        if let Some(san) = &self.san {
-            san.check_wildcard_match(self.world_rank, ctx, tag, msg.uid, &self.phase);
-        }
-        // A match from outside the communicator means another rank created
-        // a different communicator under the same context id (a broken
-        // collective `subset` call). Fail the rank in an orderly way with
-        // the full message provenance — the phase rides on the failure
-        // record — instead of the historical bare panic.
-        let src_local = match comm.local_rank_of_world(msg.src_world) {
-            Some(l) => l,
-            None => self.fail(FailKind::NonMemberMatch {
-                src: msg.src_world,
-                ctx,
-                tag,
-            }),
-        };
-        let payload = match self.complete_recv(msg) {
-            Ok(p) => p,
-            Err(e) => self.fail_recv(e),
-        };
-        (src_local, payload)
     }
 
     /// Charge `flops` floating-point operations of compute time.

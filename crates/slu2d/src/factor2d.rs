@@ -77,27 +77,6 @@ pub fn factor_nodes(
     nodes: &[usize],
     done: &mut [bool],
 ) -> FactorOutcome {
-    factor_nodes_with(rank, env, store, sym, nodes, done, &mut |_, _, _| {})
-}
-
-/// [`factor_nodes`] with a progress hook for the 3D task-graph schedule:
-/// `after_schur(rank, store, pos)` is called once per scheduled node,
-/// immediately after the Schur update of `nodes[pos - 1]` completes (so
-/// `pos` runs 1..=nodes.len()). At that point every block whose last
-/// writer is `nodes[pos - 1]` holds its final value for this node list —
-/// the hook may ship such blocks (eager ancestor-reduction sends) but must
-/// not mutate blocks still pending updates. The hook runs outside any node
-/// span, and the compute schedule is identical to [`factor_nodes`]'s, so a
-/// no-op hook is bitwise equivalent.
-pub fn factor_nodes_with(
-    rank: &mut Rank,
-    env: &FactorEnv,
-    store: &mut BlockStore,
-    sym: &Symbolic,
-    nodes: &[usize],
-    done: &mut [bool],
-    after_schur: &mut dyn FnMut(&mut Rank, &mut BlockStore, usize),
-) -> FactorOutcome {
     debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "nodes must ascend");
     let mut outcome = FactorOutcome::default();
 
@@ -181,7 +160,6 @@ pub fn factor_nodes_with(
                 *cnt -= 1;
             }
         }
-        after_schur(rank, store, idx + 1);
     }
     scratch.release(rank);
     outcome

@@ -38,7 +38,6 @@ struct Args {
     sanitize: bool,
     batched_schur: bool,
     backend: Backend,
-    schedule: Schedule,
     faults: Option<String>,
     fault_seed: u64,
     no_recover: bool,
@@ -104,7 +103,7 @@ fn usage() -> ! {
          \x20                    and write the pass/fail report as JSON;\n\
          \x20                    '-' = stdout. Exit 1 on failure.\n\
          \x20 --sanitize         run under the communication sanitizer\n\
-         \x20                    (race/deadlock/leak detection; see docs/commcheck.md)\n\
+         \x20                    (deadlock/leak detection; see docs/commcheck.md)\n\
          \x20 --batched-schur    use the batched gather-GEMM-scatter Schur path\n\
          \x20                    (bitwise-identical factors; see docs/perf.md)\n\
          \x20 --backend B        execution backend: 'threaded' (default; one OS\n\
@@ -114,13 +113,6 @@ fn usage() -> ! {
          \x20                    process). Factor digests, makespans, and all\n\
          \x20                    ledgers are bitwise identical either way; host\n\
          \x20                    profiling needs 'threaded' (see docs/backends.md)\n\
-         \x20 --schedule S       reduction-send schedule: 'level' (default;\n\
-         \x20                    ship ancestor supernodes at each level\n\
-         \x20                    boundary, as in Algorithm 1) or 'taskgraph'\n\
-         \x20                    (hoist each send to its dependency-DAG\n\
-         \x20                    readiness point). Factors, solutions, and\n\
-         \x20                    all ledgers are bitwise identical; only\n\
-         \x20                    simulated clocks differ (docs/backends.md)\n\
          \n\
          fault injection (see docs/faultlab.md):\n\
          \x20 --faults SPEC      inject deterministic faults into the simulated\n\
@@ -171,7 +163,6 @@ fn parse_args() -> Args {
         sanitize: false,
         batched_schur: false,
         backend: Backend::Threaded,
-        schedule: Schedule::Level,
         faults: None,
         fault_seed: 1,
         no_recover: false,
@@ -219,13 +210,6 @@ fn parse_args() -> Args {
             "--backend" => {
                 let v = val("--backend");
                 args.backend = v.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                })
-            }
-            "--schedule" => {
-                let v = val("--schedule");
-                args.schedule = v.parse().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     usage()
                 })
@@ -411,7 +395,6 @@ fn main() {
         sanitize: args.sanitize,
         batched_schur: args.batched_schur,
         backend: args.backend,
-        schedule: args.schedule,
         fault_plan: fault_plan.clone(),
         retry: (fault_plan.is_some() && !args.no_recover).then(RetryPolicy::default),
         recv_deadline: args.recv_deadline,

@@ -1,8 +1,7 @@
 //! Determinism regression: the simulated 3D factorization is bitwise
 //! reproducible. Two identical runs must produce identical factors and
 //! solutions AND identical message traces — the property the paper's
-//! deterministic reduction orders guarantee, and the property the
-//! commcheck race detector exists to protect.
+//! deterministic reduction orders guarantee.
 
 use salu::prelude::*;
 use salu::simgrid::{commcheck, Json};
