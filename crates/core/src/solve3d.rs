@@ -15,6 +15,12 @@
 //!   z-axis and applies its own `U(j,k) x_k` cross terms, then solves its
 //!   level.
 //!
+//! Both z-transfers follow the 2D solve's participant sets
+//! ([`SolvePlan`]): a rank ships only the segments it can hold a nonzero
+//! value of (forward) or knows the solution of (backward), the receiver
+//! derives the same list from the symbolic structure and checks the
+//! payload against it, and a rank with nothing to ship skips the message.
+//!
 //! Every supernode is solved exactly once — on the grid that factored it —
 //! so summing the per-rank outputs over the whole machine yields the
 //! solution. SuperLU_DIST gained an analogous 3D solve after the paper;
@@ -23,9 +29,9 @@
 
 use crate::forest::EtreeForest;
 use simgrid::topology::GridComms;
-use simgrid::{FailKind, Grid3d, Payload, Rank};
+use simgrid::{FailKind, Grid2d, Grid3d, Payload, Rank};
 use slu2d::factor2d::{FactorEnv, FactorOpts};
-use slu2d::solve2d::{apply_ancestor_x, backward_nodes, forward_nodes, DistSolveState};
+use slu2d::solve2d::{apply_ancestor_x, backward_nodes, forward_nodes, DistSolveState, SolvePlan};
 use slu2d::store::BlockStore;
 use std::sync::Arc;
 use symbolic::Symbolic;
@@ -50,7 +56,7 @@ pub fn solve_3d(
     sym: &Symbolic,
     forest: &EtreeForest,
     opts: FactorOpts,
-    uindex: &Arc<Vec<Vec<usize>>>,
+    plan: &Arc<SolvePlan>,
     b: &[f64],
 ) -> Result<Vec<f64>, FailKind> {
     let l = forest.l;
@@ -63,7 +69,7 @@ pub fn solve_3d(
         col: comms.col.clone(),
         opts,
     };
-    let mut st = DistSolveState::with_index(sym, Arc::clone(uindex));
+    let mut st = DistSolveState::new(sym.part.n(), Arc::clone(plan));
     let mut x_out = vec![0.0; sym.part.n()];
 
     // ---- Forward sweep: leaves to root, acc reduced along z. ----
@@ -80,10 +86,15 @@ pub fn solve_3d(
             rank.span_exit(sweep_span);
             break;
         }
-        // Pairwise accumulator reduction over all shared ancestor levels.
+        // Pairwise accumulator reduction over the shared ancestor segments
+        // this rank can hold a partial sum of; every other segment is
+        // structurally zero here, and a rank with none skips the transfer.
         let k = my_z / step;
-        let ancestors = ancestor_supernodes(forest, sym, my_z, lvl);
-        if k.is_multiple_of(2) {
+        let segs = acc_segments(forest, sym, plan, (my_r, my_c, my_z), lvl, grid3.grid2d);
+        let words: usize = segs.iter().map(|&s| sym.part.width(s)).sum();
+        if segs.is_empty() {
+            // Nothing to reduce along z at this level.
+        } else if k.is_multiple_of(2) {
             let src_z = my_z + step;
             let fwd_err = |detail: String| FailKind::Solver {
                 phase: "solve-fwd".to_string(),
@@ -100,18 +111,23 @@ pub fn solve_3d(
                 })?
                 .try_into_f64s()
                 .map_err(|e| fwd_err(format!("accumulator reduction from z={src_z}: {e}")))?;
+            if data.len() != words {
+                return Err(fwd_err(format!(
+                    "accumulator reduction from z={src_z} has {} words, expected {words}",
+                    data.len()
+                )));
+            }
             let mut off = 0;
-            for &s in &ancestors {
+            for &s in &segs {
                 for i in sym.part.ranges[s].clone() {
                     st.acc[i] += data[off];
                     off += 1;
                 }
             }
-            debug_assert_eq!(off, data.len());
         } else {
             let dest_z = my_z - step;
-            let mut data = Vec::new();
-            for &s in &ancestors {
+            let mut data = Vec::with_capacity(words);
+            for &s in &segs {
                 data.extend_from_slice(&st.acc[sym.part.ranges[s].clone()]);
             }
             rank.send(
@@ -136,76 +152,124 @@ pub fn solve_3d(
         // grid 0 (born at level 0), it first receives the ancestor solution
         // segments from its pair partner.
         let born_here = my_z != 0 && k % 2 == 1;
-        if born_here {
-            let dest_z = my_z - step;
-            let bwd_err = |detail: String| FailKind::Solver {
-                phase: "solve-bwd".to_string(),
-                supernode: None,
-                level: Some(lvl),
-                detail,
-            };
-            let (meta, data) = rank
-                .recv_checked(&comms.zline, dest_z, T_X_DOWN | lvl as u64)
-                .map_err(|e| bwd_err(format!("ancestor-x recv from z={dest_z} failed: {e}")))?
-                .try_into_packed()
-                .map_err(|e| bwd_err(format!("ancestor-x from z={dest_z}: {e}")))?;
-            let mut off = 0;
-            for &s in &meta {
-                let w = sym.part.width(s);
-                let seg = &data[off..off + w];
-                off += w;
-                apply_ancestor_x(rank, &env, store, sym, s, seg, &mut st);
+        let bwd_err = |supernode: Option<usize>, detail: String| FailKind::Solver {
+            phase: "solve-bwd".to_string(),
+            supernode,
+            level: Some(lvl),
+            detail,
+        };
+        if born_here && lvl > 0 {
+            let expect = x_segments(forest, sym, plan, (my_r, my_c, my_z), lvl - 1, grid3.grid2d);
+            if !expect.is_empty() {
+                let dest_z = my_z - step;
+                let (meta, data) = rank
+                    .recv_checked(&comms.zline, dest_z, T_X_DOWN | lvl as u64)
+                    .map_err(|e| {
+                        bwd_err(None, format!("ancestor-x recv from z={dest_z} failed: {e}"))
+                    })?
+                    .try_into_packed()
+                    .map_err(|e| bwd_err(None, format!("ancestor-x from z={dest_z}: {e}")))?;
+                let words: usize = expect.iter().map(|&s| sym.part.width(s)).sum();
+                if meta != expect || data.len() != words {
+                    return Err(bwd_err(
+                        None,
+                        format!(
+                            "ancestor-x from z={dest_z} carries supernodes {meta:?} in {} words, \
+                             expected {expect:?} in {words} words",
+                            data.len()
+                        ),
+                    ));
+                }
+                let mut off = 0;
+                for &s in &meta {
+                    let w = sym.part.width(s);
+                    apply_ancestor_x(rank, &env, store, sym, s, &data[off..off + w], &mut st);
+                    off += w;
+                }
             }
-            debug_assert_eq!(off, data.len());
         }
         let q = my_z >> (l - lvl);
         let nodes = forest.supernodes_of(lvl, q, &sym.part);
         backward_nodes(rank, &env, store, sym, &nodes, &mut st, &mut x_out);
 
-        // Hand the now-known chain solutions to the grid born at the next
-        // level (my pair partner there).
+        // Hand the chain solutions this rank knows to the grid born at the
+        // next level (my pair partner there).
         if lvl < l {
-            let half = step / 2;
-            let peer_z = my_z + half;
-            // Segments this rank can supply: every chain supernode in my
-            // process column whose x is known locally (levels <= lvl).
-            let mut meta = Vec::new();
-            let mut data = Vec::new();
-            for la in 0..=lvl {
-                let qa = my_z >> (l - la);
-                for s in forest.supernodes_of(la, qa, &sym.part) {
-                    if s % grid3.grid2d.pc == my_c {
-                        let xk = st.x.get(&s).unwrap_or_else(|| {
-                            panic!("x segment of chain supernode {s} unknown on column rank")
-                        });
-                        meta.push(s);
-                        data.extend_from_slice(xk);
-                    }
+            let peer_z = my_z + step / 2;
+            let meta = x_segments(forest, sym, plan, (my_r, my_c, my_z), lvl, grid3.grid2d);
+            if !meta.is_empty() {
+                let mut data = Vec::new();
+                for &s in &meta {
+                    let xk = st.x.get(&s).ok_or_else(|| {
+                        bwd_err(
+                            Some(s),
+                            format!("x segment of chain supernode {s} unknown on this rank"),
+                        )
+                    })?;
+                    data.extend_from_slice(xk);
                 }
+                rank.send(
+                    &comms.zline,
+                    peer_z,
+                    T_X_DOWN | (lvl + 1) as u64,
+                    Payload::Packed { meta, data },
+                );
             }
-            rank.send(
-                &comms.zline,
-                peer_z,
-                T_X_DOWN | (lvl + 1) as u64,
-                Payload::Packed { meta, data },
-            );
         }
         rank.span_exit(sweep_span);
     }
     Ok(x_out)
 }
 
-/// All supernodes in the ancestor chain above level `lvl` for grid `z`,
+/// Supernodes of the forest levels `levels` on grid `z`'s chain,
 /// ascending.
-fn ancestor_supernodes(forest: &EtreeForest, sym: &Symbolic, z: usize, lvl: usize) -> Vec<usize> {
+fn chain_supernodes(
+    forest: &EtreeForest,
+    sym: &Symbolic,
+    z: usize,
+    levels: std::ops::Range<usize>,
+) -> Vec<usize> {
     let l = forest.l;
     let mut out = Vec::new();
-    for la in 0..lvl {
-        let qa = z >> (l - la);
-        out.extend(forest.supernodes_of(la, qa, &sym.part));
+    for la in levels {
+        out.extend(forest.supernodes_of(la, z >> (l - la), &sym.part));
     }
     out.sort_unstable();
     out
+}
+
+/// Ancestor segments (levels above `lvl`) for which rank `(r, c, z)` can
+/// hold a nonzero forward partial sum: segment `s` lives in process row
+/// `s mod pr`, and only the columns of [`SolvePlan::fwd_cols`] contribute
+/// to it. Both ends of the `T_ACC_RED` transfer derive the same list.
+fn acc_segments(
+    forest: &EtreeForest,
+    sym: &Symbolic,
+    plan: &SolvePlan,
+    (r, c, z): (usize, usize, usize),
+    lvl: usize,
+    grid: Grid2d,
+) -> Vec<usize> {
+    let mut segs = chain_supernodes(forest, sym, z, 0..lvl);
+    segs.retain(|&s| s % grid.pr == r && plan.fwd_cols(s).binary_search(&c).is_ok());
+    segs
+}
+
+/// Chain supernodes at levels `0..=lvl` whose solution rank `(r, c, z)`
+/// knows after its backward sweep of level `lvl`: those in process column
+/// `s mod pc` whose [`SolvePlan::bwd_rows`] include `r`. Both ends of the
+/// `T_X_DOWN` transfer derive the same list.
+fn x_segments(
+    forest: &EtreeForest,
+    sym: &Symbolic,
+    plan: &SolvePlan,
+    (r, c, z): (usize, usize, usize),
+    lvl: usize,
+    grid: Grid2d,
+) -> Vec<usize> {
+    let mut segs = chain_supernodes(forest, sym, z, 0..lvl + 1);
+    segs.retain(|&s| s % grid.pc == c && plan.bwd_rows(s).binary_search(&r).is_ok());
+    segs
 }
 
 #[cfg(test)]
@@ -304,5 +368,96 @@ mod tests {
         // ... and the solve did send something, under its own label.
         let solve_words = simgrid::TrafficSummary::max_sent_words_in(&solved.reports, "solve");
         assert!(solve_words > 0);
+    }
+    /// Runs a 1x1x2 machine where world rank `forger` sends `forged` on
+    /// the z-line instead of solving, and the other rank runs `solve_3d`;
+    /// returns what `solve_3d` returned there.
+    fn solve_against_forged_peer(
+        forger: usize,
+        tag: u64,
+        forged: simgrid::Payload,
+    ) -> Result<Vec<f64>, simgrid::FailKind> {
+        use super::*;
+        use simgrid::topology::build_grid_comms;
+        use simgrid::Machine;
+        use slu2d::store::InitValues;
+
+        let prep = Prepared::new(
+            grid2d_5pt(10, 10, 0.1, 4),
+            Geometry::Grid2d { nx: 10, ny: 10 },
+            8,
+            8,
+        );
+        let grid3 = Grid3d::new(1, 1, 2);
+        let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, 2));
+        let plan = SolvePlan::build(&prep.sym, grid3.grid2d);
+        let (pa, sym) = (Arc::clone(&prep.pa), Arc::clone(&prep.sym));
+        let b: Vec<f64> = (0..sym.part.n()).map(|i| i as f64).collect();
+        let out = Machine::new(2, TimeModel::zero()).run(move |rank| {
+            let comms = build_grid_comms(rank, &grid3);
+            if rank.id() == forger {
+                if forger == 0 {
+                    // Consume z = 1's forward accumulator reduction first,
+                    // as the real partner would, so z = 1 gets to its
+                    // backward sweep.
+                    rank.recv(&comms.zline, 1, T_ACC_RED | 1);
+                }
+                rank.send(&comms.zline, 1 - forger, tag, forged.clone());
+                return None;
+            }
+            let store = BlockStore::build(
+                &pa,
+                &sym,
+                &grid3.grid2d,
+                0,
+                0,
+                &|_| true,
+                InitValues::FromMatrix,
+            );
+            let opts = FactorOpts::default();
+            Some(solve_3d(
+                rank, &grid3, &comms, &store, &sym, &forest, opts, &plan, &b,
+            ))
+        });
+        out.results
+            .into_iter()
+            .flatten()
+            .next()
+            .expect("solver rank")
+    }
+
+    fn assert_solver_failure(r: Result<Vec<f64>, simgrid::FailKind>, want_phase: &str) {
+        match r {
+            Err(simgrid::FailKind::Solver { phase, detail, .. }) => {
+                assert_eq!(phase, want_phase, "{detail}");
+                assert!(detail.contains("expected"), "{detail}");
+            }
+            other => panic!("expected a {want_phase} solver failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn short_accumulator_reduction_fails_structurally() {
+        // z = 1 hands z = 0 one word where its ancestor segments need more.
+        let r = solve_against_forged_peer(
+            1,
+            simgrid::tags::T_ACC_RED | 1,
+            simgrid::Payload::F64s(vec![0.0]),
+        );
+        assert_solver_failure(r, "solve-fwd");
+    }
+
+    #[test]
+    fn unexpected_ancestor_x_meta_fails_structurally() {
+        // z = 0 hands z = 1 a solution for a supernode outside the chain.
+        let r = solve_against_forged_peer(
+            0,
+            simgrid::tags::T_X_DOWN | 1,
+            simgrid::Payload::Packed {
+                meta: vec![0],
+                data: vec![0.0],
+            },
+        );
+        assert_solver_failure(r, "solve-bwd");
     }
 }

@@ -12,7 +12,7 @@ use simgrid::{
 };
 use slu2d::driver::Prepared;
 use slu2d::factor2d::FactorOpts;
-use slu2d::solve2d::solve_nodes;
+use slu2d::solve2d::{solve_nodes, SolvePlan};
 use slu2d::store::BlockStore;
 use std::sync::Arc;
 
@@ -439,7 +439,14 @@ fn try_run(
     let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, cfg.pz));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
-    let rhs_p = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
+    // The solve's participant sets and transposed block index are derived
+    // from the symbolic structure once per run and shared by every rank.
+    let rhs_p = rhs.map(|b| {
+        (
+            Arc::new(prep.permute_rhs(&b)),
+            SolvePlan::build(&prep.sym, grid3.grid2d),
+        )
+    });
     let opts = FactorOpts {
         lookahead: cfg.lookahead,
         pivot_threshold: cfg.pivot_threshold,
@@ -488,14 +495,13 @@ fn try_run(
         let factor_digest = store_digest(&store);
 
         let refine_steps = cfg_refine;
-        let x_partial = rhs_p.as_ref().and_then(|b| {
+        let x_partial = rhs_p.as_ref().and_then(|(b, plan)| {
             rank.set_phase("solve");
             match strategy {
                 SolveStrategy::Distributed3d => {
                     let world = rank.world();
-                    let uindex = slu2d::solve2d::transpose_index(&sym);
                     let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| match solve_3d(
-                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, &uindex, rhs,
+                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, plan, rhs,
                     ) {
                         Ok(xp) => xp,
                         Err(kind) => rank.fail(kind),
@@ -534,7 +540,7 @@ fn try_run(
                         opts,
                     };
                     let nodes: Vec<usize> = (0..sym.nsup()).collect();
-                    let xp = solve_nodes(rank, &env, &store, &sym, &nodes, b);
+                    let xp = solve_nodes(rank, &env, &store, &sym, plan, &nodes, b);
                     // Every layer rank materializes the full solution so
                     // iterative refinement can compute residuals locally.
                     let mut x_full =
@@ -544,7 +550,7 @@ fn try_run(
                         // on each layer rank from the shared matrix values.
                         let ax = pa.matvec(&x_full);
                         let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
-                        let dxp = solve_nodes(rank, &env, &store, &sym, &nodes, &r);
+                        let dxp = solve_nodes(rank, &env, &store, &sym, plan, &nodes, &r);
                         let dx = rank.allreduce_sum(
                             &comms.layer,
                             dxp,

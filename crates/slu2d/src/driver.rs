@@ -3,7 +3,7 @@
 //! normalizes against.
 
 use crate::factor2d::{factor_nodes, FactorEnv, FactorOpts};
-use crate::solve2d::solve_nodes;
+use crate::solve2d::{solve_nodes, SolvePlan};
 use crate::store::{BlockStore, InitValues};
 use ordering::{nested_dissection, Graph, NdOptions, SepTree};
 use simgrid::topology::build_grid_comms;
@@ -123,6 +123,7 @@ pub fn run_2d(
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
     let rhs = rhs.map(|b| Arc::new(prep.permute_rhs(&b)));
+    let plan = SolvePlan::build(&sym, grid3.grid2d);
 
     let out = machine.run(move |rank| {
         let comms = build_grid_comms(rank, &grid3);
@@ -164,7 +165,7 @@ pub fn run_2d(
 
         let x_partial = rhs.as_ref().map(|b| {
             rank.set_phase("solve");
-            let xp = solve_nodes(rank, &env, &store, &sym, &nodes, b);
+            let xp = solve_nodes(rank, &env, &store, &sym, &plan, &nodes, b);
             // Materialize the full solution on local rank 0 of the layer.
             rank.reduce_sum(&comms.layer, 0, xp, simgrid::tags::CB_LAYER_XSUM)
         });
