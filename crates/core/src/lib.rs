@@ -20,6 +20,8 @@
 //!   [`slu2d::factor_nodes`]) and the pairwise ancestor reduction.
 //! - [`gather`]: the bring-home step that collects factor panels onto grid
 //!   0 so the (non-benchmarked) solve phase can run on one layer.
+//! - [`refine`]: the owner-distributed solution and its halo-exchange
+//!   iterative refinement.
 //! - [`solver`]: the end-to-end API — order, analyze, partition, factor,
 //!   solve — plus the measurement output every experiment harness consumes.
 //!
@@ -43,6 +45,7 @@
 pub mod factor3d;
 pub mod forest;
 pub mod gather;
+pub mod refine;
 pub mod solve3d;
 pub mod solver;
 pub mod symbolic3d;

@@ -21,9 +21,11 @@
 //! derives the same list from the symbolic structure and checks the
 //! payload against it, and a rank with nothing to ship skips the message.
 //!
-//! Every supernode is solved exactly once — on the grid that factored it —
-//! so summing the per-rank outputs over the whole machine yields the
-//! solution. SuperLU_DIST gained an analogous 3D solve after the paper;
+//! Every supernode `k` is solved exactly once, by its *owner*: the
+//! diagonal owner `(k mod pr, k mod pc)` on the grid that factored it
+//! (`EtreeForest::factoring_grid`). Only the owner reads `b` over `k`'s
+//! rows and writes `k`'s segment of the output, which is how
+//! [`crate::refine`] keeps the solution owner-distributed. SuperLU_DIST gained an analogous 3D solve after the paper;
 //! here it doubles as a consistency check against the gather-based solve
 //! in [`crate::gather`].
 
@@ -39,9 +41,9 @@ use symbolic::Symbolic;
 use simgrid::tags::{T_ACC_RED, T_X_DOWN};
 
 /// Solve `L U x = b` with the factors laid out as [`crate::factor3d`] left
-/// them. `b` must be the permuted right-hand side, available on every rank.
-/// Returns this rank's partial solution (zero where other ranks own the
-/// segments); the caller sums over *all* ranks of the machine.
+/// them. `b` is the permuted right-hand side; only the rows of the
+/// segments this rank owns are read. Returns a full-length vector holding
+/// this rank's owned segments of x, zero elsewhere.
 ///
 /// Like [`crate::factor3d::factor_3d`], a z-line transfer that cannot
 /// complete (or carries the wrong payload kind) surfaces as a structured

@@ -4,6 +4,7 @@
 use crate::factor3d::factor_3d;
 use crate::forest::EtreeForest;
 use crate::gather::gather_factors_to_grid0;
+use crate::refine::{solve_and_refine, RefinePlan};
 use crate::solve3d::solve_3d;
 use simgrid::topology::build_grid_comms;
 use simgrid::{
@@ -16,7 +17,10 @@ use slu2d::solve2d::{solve_nodes, SolvePlan};
 use slu2d::store::BlockStore;
 use std::sync::Arc;
 
-/// How the triangular solve is distributed.
+/// How the triangular solve is distributed. Under either strategy each
+/// solution segment stays on the rank that solved it, refinement exchanges
+/// only the segments `A`'s pattern couples ([`crate::refine`]), and
+/// [`Output3d::x`] is assembled on the host from the owners' segments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveStrategy {
     /// Fully distributed: forward/backward substitution follows the 3D
@@ -187,7 +191,9 @@ impl std::error::Error for SolverError {}
 
 /// Everything a 3D run reports.
 pub struct Output3d {
-    /// Solution in the original ordering (when a RHS was supplied).
+    /// Solution in the original ordering (when a RHS was supplied),
+    /// assembled on the host from the segments each owning rank returned;
+    /// no simulated rank holds the whole of it.
     pub x: Option<Vec<f64>>,
     /// Per-rank traffic/time reports.
     pub reports: Vec<RankReport>,
@@ -439,12 +445,20 @@ fn try_run(
     let forest = Arc::new(EtreeForest::build(&prep.tree, &prep.sym, cfg.pz));
     let pa = Arc::clone(&prep.pa);
     let sym = Arc::clone(&prep.sym);
-    // The solve's participant sets and transposed block index are derived
-    // from the symbolic structure once per run and shared by every rank.
+    // The solve's participant sets and transposed block index, and the
+    // solution owners with their halo structure, are derived from the
+    // symbolic structure once per run and shared by every rank.
     let rhs_p = rhs.map(|b| {
+        let refine_plan = RefinePlan::build(&prep.pa, &prep.sym.part, &grid3, |k| {
+            match cfg.solve_strategy {
+                SolveStrategy::Distributed3d => forest.factoring_grid(prep.sym.part.node_of_sn[k]),
+                SolveStrategy::GatherToGrid0 => 0,
+            }
+        });
         (
             Arc::new(prep.permute_rhs(&b)),
             SolvePlan::build(&prep.sym, grid3.grid2d),
+            refine_plan,
         )
     });
     let opts = FactorOpts {
@@ -453,6 +467,7 @@ fn try_run(
         batched_schur: cfg.batched_schur,
     };
     let forest_cl = Arc::clone(&forest);
+    let rhs_cl = rhs_p.clone();
     let cfg_refine = cfg.refine_steps;
     let strategy = cfg.solve_strategy;
 
@@ -494,42 +509,27 @@ fn try_run(
         // Digest before any solve: GatherToGrid0 mutates the store.
         let factor_digest = store_digest(&store);
 
-        let refine_steps = cfg_refine;
-        let x_partial = rhs_p.as_ref().and_then(|(b, plan)| {
+        let x_owned = rhs_cl.as_ref().map(|(b, plan, refine_plan)| {
             rank.set_phase("solve");
-            match strategy {
-                SolveStrategy::Distributed3d => {
-                    let world = rank.world();
-                    let solve_once = |rank: &mut simgrid::Rank, rhs: &[f64]| match solve_3d(
-                        rank, &grid3, &comms, &store, &sym, &forest_cl, opts, plan, rhs,
-                    ) {
-                        Ok(xp) => xp,
-                        Err(kind) => rank.fail(kind),
-                    };
-                    let xp = solve_once(rank, b);
-                    // Every rank materializes the full solution so iterative
-                    // refinement can compute residuals locally.
-                    let mut x_full = rank.allreduce_sum(&world, xp, simgrid::tags::CB_SOLVE_X);
-                    for step in 0..refine_steps {
-                        let ax = pa.matvec(&x_full);
-                        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
-                        let dxp = solve_once(rank, &r);
-                        let dx =
-                            rank.allreduce_sum(&world, dxp, simgrid::tags::CB_REFINE | step as u64);
-                        for (xi, di) in x_full.iter_mut().zip(dx) {
-                            *xi += di;
-                        }
-                    }
-                    if rank.id() == 0 {
-                        Some(x_full)
-                    } else {
-                        None
-                    }
-                }
+            let solved = match strategy {
+                SolveStrategy::Distributed3d => solve_and_refine(
+                    rank,
+                    refine_plan,
+                    &pa,
+                    &sym.part,
+                    b,
+                    cfg_refine,
+                    |rank, rhs| {
+                        solve_3d(
+                            rank, &grid3, &comms, &store, &sym, &forest_cl, opts, plan, rhs,
+                        )
+                    },
+                ),
                 SolveStrategy::GatherToGrid0 => {
                     gather_factors_to_grid0(rank, &comms, &mut store, &sym, &forest_cl);
                     if my_z != 0 {
-                        return None;
+                        // Owns no segment: grid 0 solves everything.
+                        return Vec::new();
                     }
                     let env = slu2d::factor2d::FactorEnv {
                         grid: grid3.grid2d,
@@ -540,40 +540,25 @@ fn try_run(
                         opts,
                     };
                     let nodes: Vec<usize> = (0..sym.nsup()).collect();
-                    let xp = solve_nodes(rank, &env, &store, &sym, plan, &nodes, b);
-                    // Every layer rank materializes the full solution so
-                    // iterative refinement can compute residuals locally.
-                    let mut x_full =
-                        rank.allreduce_sum(&comms.layer, xp, simgrid::tags::CB_SOLVE_X);
-                    for step in 0..refine_steps {
-                        // r = b - A x, computed redundantly (deterministic)
-                        // on each layer rank from the shared matrix values.
-                        let ax = pa.matvec(&x_full);
-                        let r: Vec<f64> = b.iter().zip(ax).map(|(bi, axi)| bi - axi).collect();
-                        let dxp = solve_nodes(rank, &env, &store, &sym, plan, &nodes, &r);
-                        let dx = rank.allreduce_sum(
-                            &comms.layer,
-                            dxp,
-                            simgrid::tags::CB_REFINE | step as u64,
-                        );
-                        for (xi, di) in x_full.iter_mut().zip(dx) {
-                            *xi += di;
-                        }
-                    }
-                    if comms.layer.local_rank() == 0 {
-                        Some(x_full)
-                    } else {
-                        None
-                    }
+                    solve_and_refine(
+                        rank,
+                        refine_plan,
+                        &pa,
+                        &sym.part,
+                        b,
+                        cfg_refine,
+                        |rank, rhs| Ok(solve_nodes(rank, &env, &store, &sym, plan, &nodes, rhs)),
+                    )
                 }
-            }
+            };
+            solved.unwrap_or_else(|kind| rank.fail(kind))
         });
         (
             outcome.perturbations,
             outcome.lookahead_hits,
             store_words,
             factor_digest,
-            x_partial,
+            x_owned,
         )
     })?;
 
@@ -593,11 +578,23 @@ fn try_run(
     let factor_digest = out.results.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, r| {
         (h.rotate_left(17) ^ r.3).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    let x = out
-        .results
-        .into_iter()
-        .find_map(|r| r.4)
-        .map(|px| prep.unpermute_solution(&px));
+    // Assemble x on the host from the owners' segments, as the digests
+    // are folded above; the simulated machine never gathers it.
+    let x = rhs_p.map(|(_, _, refine_plan)| {
+        let mut px = vec![0.0; prep.sym.part.n()];
+        for (rank, r) in out.results.iter().enumerate() {
+            let mut rest =
+                r.4.as_deref()
+                    .expect("with a RHS every rank returns its segments");
+            for &k in refine_plan.owned(rank) {
+                let rk = prep.sym.part.ranges[k].clone();
+                let (seg, tail) = rest.split_at(rk.len());
+                px[rk].copy_from_slice(seg);
+                rest = tail;
+            }
+        }
+        prep.unpermute_solution(&px)
+    });
     Ok(Output3d {
         x,
         reports: out.reports,

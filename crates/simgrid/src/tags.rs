@@ -56,6 +56,9 @@ pub const T_X_DOWN: u64 = 13 << KIND_SHIFT;
 pub const T_SYM_RED: u64 = 14 << KIND_SHIFT;
 /// 3D symbolic setup: merged structure gather.
 pub const T_SYM_GATHER: u64 = 15 << KIND_SHIFT;
+/// Iterative refinement: owner-to-owner halo exchange of solution segments
+/// (`T_X_HALO | step`).
+pub const T_X_HALO: u64 = 16 << KIND_SHIFT;
 /// 2.5D dense SUMMA: A-panel ring shift.
 pub const T_APAN: u64 = 21 << KIND_SHIFT;
 /// 2.5D dense SUMMA: B-panel ring shift.
@@ -69,10 +72,6 @@ pub const T_CRED: u64 = 24 << KIND_SHIFT;
 
 /// Layer-wide sum of distributed solution pieces (2D solve driver).
 pub const CB_LAYER_XSUM: u64 = 9 << KIND_SHIFT;
-/// World allreduce assembling the final solution vector (3D solve).
-pub const CB_SOLVE_X: u64 = 11 << KIND_SHIFT;
-/// Per-step allreduce in iterative refinement (`CB_REFINE | step`).
-pub const CB_REFINE: u64 = 12 << KIND_SHIFT;
 
 // --- Collective-internal tag layout ----------------------------------------
 
@@ -208,6 +207,11 @@ pub const REGISTRY: &[TagDecl] = &[
         base: T_SYM_GATHER,
     },
     TagDecl {
+        name: "T_X_HALO",
+        space: TagSpace::P2p,
+        base: T_X_HALO,
+    },
+    TagDecl {
         name: "T_APAN",
         space: TagSpace::P2p,
         base: T_APAN,
@@ -231,16 +235,6 @@ pub const REGISTRY: &[TagDecl] = &[
         name: "CB_LAYER_XSUM",
         space: TagSpace::CollBase,
         base: CB_LAYER_XSUM,
-    },
-    TagDecl {
-        name: "CB_SOLVE_X",
-        space: TagSpace::CollBase,
-        base: CB_SOLVE_X,
-    },
-    TagDecl {
-        name: "CB_REFINE",
-        space: TagSpace::CollBase,
-        base: CB_REFINE,
     },
 ];
 
@@ -370,6 +364,6 @@ mod tests {
     fn describe_names_known_tags() {
         assert_eq!(describe(T_REDUCE | 17), "p2p:T_REDUCE|0x11");
         assert!(describe(coll_tag(PH_BCAST, T_LPANEL | 3)).contains("bcast"));
-        assert!(describe(coll_tag(PH_REDUCE, CB_SOLVE_X)).contains("CB_SOLVE_X"));
+        assert!(describe(coll_tag(PH_REDUCE, CB_LAYER_XSUM)).contains("CB_LAYER_XSUM"));
     }
 }

@@ -401,12 +401,11 @@ pub fn backward_nodes(
 }
 
 /// Solve `L U x = b` on the 2D grid for the supernodes in `nodes`
-/// (ascending; pass all supernodes for a full solve). `b` is the full
-/// right-hand side in permuted ordering, available on every rank (read-only
-/// input data); `plan` must come from [`SolvePlan::build`] for this grid.
-/// Returns this rank's *partial* solution vector: the segments this rank
-/// solved (diagonal owners), zero elsewhere — sum across the layer to
-/// materialize the full solution.
+/// (ascending; pass all supernodes for a full solve). `b` is the
+/// right-hand side in permuted ordering; only the diagonal owner of each
+/// supernode reads its rows. `plan` must come from [`SolvePlan::build`] for
+/// this grid. Returns this rank's *partial* solution vector: the segments
+/// this rank solved (diagonal owners), zero elsewhere.
 pub fn solve_nodes(
     rank: &mut Rank,
     env: &FactorEnv,

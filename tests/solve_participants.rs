@@ -1,12 +1,15 @@
 //! The triangular solves communicate only among the ranks that structurally
-//! need each supernode (`slu2d::solve2d::SolvePlan`): their message count is
-//! predicted exactly by the symbolic participant sets, and grids much wider
-//! than the block structure still solve to full accuracy.
+//! need each supernode (`slu2d::solve2d::SolvePlan`), and refinement only
+//! among the owners `A`'s pattern couples (`lu3d::refine::RefinePlan`):
+//! their message count is predicted exactly by the symbolic structure, and
+//! grids much wider than the block structure still solve to full accuracy.
 
 use salu::lu3d::solver::SolveStrategy;
 use salu::prelude::*;
+use salu::simgrid::CommClass;
 use salu::slu2d::solve2d::SolvePlan;
 use salu::sparsemat::matgen::{grid2d_5pt, grid3d_7pt, kkt_3d};
+use std::collections::BTreeSet;
 
 fn rhs(a: &Csr) -> Vec<f64> {
     let x_true: Vec<f64> = (0..a.nrows).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
@@ -26,6 +29,26 @@ fn config(grid: (usize, usize, usize), strategy: SolveStrategy, backend: Backend
     }
 }
 
+/// Ordered pairs of distinct owners `(owner(t), owner(k))` with a stored
+/// `pa(i, j)`, `i` in supernode `k`, `j` in supernode `t`, on a `Pz = 1`
+/// grid, where supernode `k` is owned by rank `(k mod pr, k mod pc)`.
+fn halo_pairs(prep: &Prepared, (pr, pc): (usize, usize)) -> u64 {
+    let part = &prep.sym.part;
+    let owner = |col: usize| {
+        let k = part.sn_of_col[col];
+        (k % pr) * pc + k % pc
+    };
+    let mut pairs = BTreeSet::new();
+    for i in 0..prep.pa.nrows {
+        for &j in prep.pa.row_cols(i) {
+            if owner(j) != owner(i) {
+                pairs.insert((owner(j), owner(i)));
+            }
+        }
+    }
+    pairs.len() as u64
+}
+
 fn solve_msgs(out: &Output3d) -> u64 {
     out.reports
         .iter()
@@ -34,9 +57,10 @@ fn solve_msgs(out: &Output3d) -> u64 {
 }
 
 /// On a Pz = 1 grid every solve sends `|set| - 1` messages per participant
-/// set and supernode (binomial fan-in and fan-out), and each of the
-/// `1 + refine_steps` solves is followed by one world allreduce of x
-/// (`2 (P - 1)` messages). Nothing else is sent in the solve phase.
+/// set and supernode (binomial fan-in and fan-out), and every refinement
+/// step exchanges one halo message per ordered (src, dst) pair of distinct
+/// owners whose segments are coupled by `A`'s pattern. Nothing else is
+/// sent in the solve phase, and no collective runs in it.
 #[test]
 fn pz1_solve_message_count_equals_the_symbolic_prediction() {
     let a = grid2d_5pt(20, 20, 0.1, 3);
@@ -63,11 +87,18 @@ fn pz1_solve_message_count_equals_the_symbolic_prediction() {
             })
             .sum();
         let solves = 1 + cfg.refine_steps as u64;
-        let p = (grid.0 * grid.1) as u64;
-        let predicted = solves * (per_solve + 2 * (p - 1));
+        let predicted = solves * per_solve + cfg.refine_steps as u64 * halo_pairs(&prep, grid);
         let out = try_factor_and_solve(&prep, &cfg, Some(b.clone()))
             .unwrap_or_else(|e| panic!("{grid:?}: {e}"));
         assert_eq!(solve_msgs(&out), predicted, "{grid:?}");
+        let collective_words: u64 = out
+            .reports
+            .iter()
+            .flat_map(|r| &r.commvol.entries)
+            .filter(|e| e.phase == "solve" && e.class == CommClass::Collective)
+            .map(|e| e.cell.words)
+            .sum();
+        assert_eq!(collective_words, 0, "{grid:?}");
 
         // Full-row / full-column collectives would have cost
         // 2 (pc - 1) + 2 (pr - 1) messages per supernode; the structure
